@@ -33,10 +33,10 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .syndrome import (EPSILON, DiagnosticMatrix, Opinion, Row, Syndrome,
-                       _Epsilon, make_syndrome)
+                       _Epsilon, is_valid_syndrome, make_syndrome)
 from .voting import h_maj_counts
 
 #: A memoised analysis result: per-column decisions (``BOTTOM`` for ⊥),
@@ -76,6 +76,39 @@ def pack_syndrome_cached(syndrome: Syndrome) -> int:
     return mask
 
 
+#: Bounded memo for :func:`packed_if_valid`: canonical syndrome value
+#: -> ``(the tuple that was validated, its packed bits)``.
+_VALID_PACKED: Dict[Syndrome, Tuple[Syndrome, int]] = {}
+_VALID_PACKED_LIMIT = 4096
+
+
+def packed_if_valid(payload: Any, n_nodes: int) -> Optional[int]:
+    """``pack_syndrome(payload) if is_valid_syndrome(payload, n_nodes)
+    else None``, decoded once per distinct disseminated syndrome.
+
+    All receivers aggregate the same (interned) syndrome tuples, so
+    the aggregation validates and packs each one once instead of once
+    per receiver.  The memo is keyed by tuple value and filled only
+    from tuples of exact ``int`` 0/1; a hit is returned only for the
+    very tuple that was validated, so every other payload — lists,
+    floats, bools, wrong lengths, forged junk, or a value-equal tuple
+    that is a different object — takes the uncached path.  The memo is
+    dropped wholesale when full.
+    """
+    if type(payload) is tuple:
+        hit = _VALID_PACKED.get(payload)
+        if hit is not None and hit[0] is payload and len(payload) == n_nodes:
+            return hit[1]
+    if not is_valid_syndrome(payload, n_nodes):
+        return None
+    packed = pack_syndrome(payload)
+    if type(payload) is tuple and all(type(v) is int for v in payload):
+        if len(_VALID_PACKED) >= _VALID_PACKED_LIMIT:
+            _VALID_PACKED.clear()
+        _VALID_PACKED[payload] = (payload, packed)
+    return packed
+
+
 class BitDiagnosticMatrix:
     """The N×N opinion matrix as one packed int row per sender.
 
@@ -105,6 +138,37 @@ class BitDiagnosticMatrix:
         matrix = cls(len(rows))
         for i, row in enumerate(rows, start=1):
             matrix.set_row(i, row)
+        return matrix
+
+    @classmethod
+    def from_payloads(cls, n_nodes: int, payloads: Sequence[Any],
+                      validity: Sequence[int],
+                      active: Sequence[int]) -> "BitDiagnosticMatrix":
+        """Aggregate received diagnostic payloads into a matrix.
+
+        Row ``m`` holds ``payloads[m-1]`` when its validity bit and
+        activity flag are both set and it is a well-formed syndrome
+        (:func:`packed_if_valid`); every other row is ε.  Receivers see
+        the same few syndrome objects in most slots, so each distinct
+        object is decoded once per call.
+        """
+        matrix = cls(n_nodes)
+        bits = matrix._bits
+        present = 0
+        decoded: Dict[int, Optional[int]] = {}
+        for idx in range(n_nodes):
+            if validity[idx] == 0 or active[idx] == 0:
+                continue
+            payload = payloads[idx]
+            key = id(payload)
+            if key in decoded:
+                packed = decoded[key]
+            else:
+                packed = decoded[key] = packed_if_valid(payload, n_nodes)
+            if packed is not None:
+                bits[idx] = packed
+                present |= 1 << idx
+        matrix._present = present
         return matrix
 
     @classmethod
@@ -165,8 +229,8 @@ class BitDiagnosticMatrix:
     def set_row_bits(self, sender: int, bits: Optional[int]) -> None:
         """Install a pre-packed row (``None`` = ε), skipping validation.
 
-        Aggregation fast path: the diagnostic service has already
-        validated the payload via ``is_valid_syndrome``.
+        The caller has validated the row (e.g. via
+        :func:`packed_if_valid`).
         """
         idx = sender - 1
         if bits is None:
@@ -348,5 +412,6 @@ __all__ = [
     "BitDiagnosticMatrix",
     "pack_syndrome",
     "pack_syndrome_cached",
+    "packed_if_valid",
     "unpack_syndrome",
 ]

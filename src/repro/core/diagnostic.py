@@ -38,7 +38,7 @@ from ..sim.trace import Trace
 from ..tt.controller import DIAG_CHANNEL, SenderStatus
 from ..tt.node import JobContext, Node
 from .alignment import diagnosed_round, read_align, select_dissemination
-from .bitmatrix import AnalysisCache, BitDiagnosticMatrix, pack_syndrome_cached
+from .bitmatrix import AnalysisCache, BitDiagnosticMatrix
 from .config import IsolationMode, ProtocolConfig
 from .penalty_reward import PenaltyRewardState
 from .syndrome import (EPSILON, DiagnosticMatrix, Row, intern_syndrome,
@@ -342,13 +342,8 @@ class DiagnosticService:
                 self._last_matrix = matrix
                 return matrix
         if self._bitset:
-            bit_matrix = BitDiagnosticMatrix(n)
-            for m in range(1, n + 1):
-                if (al_ls[m - 1] == 0 or self.active[m - 1] == 0
-                        or not is_valid_syndrome(al_dm[m - 1], n)):
-                    continue  # row stays ε
-                bit_matrix.set_row_bits(
-                    m, pack_syndrome_cached(tuple(al_dm[m - 1])))
+            bit_matrix = BitDiagnosticMatrix.from_payloads(
+                n, al_dm, al_ls, self.active)
             self._last_matrix = bit_matrix
             return bit_matrix
         matrix = DiagnosticMatrix(n)

@@ -19,6 +19,11 @@ Key modelling points (Sec. 3/4 of the paper):
   frame is by definition locally undetectable, so a malicious channel
   earlier in the order wins over a correct later channel — replication
   helps against benign channel faults, not against malicious ones.
+* A frame is a broadcast, so the receive state it produces is written
+  once per slot into the bus's shared :class:`ReceiveRecord`: the
+  outcome most receivers share goes there, and only the receivers with
+  another outcome (or that ignore the sender, or have delivery
+  listeners) get a private ``CommunicationController.deliver`` call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from ..faults.model import ReceptionOutcome, classify_broadcast
 from ..sim.engine import Engine
 from ..sim.events import EventPriority
 from ..sim.trace import Trace
+from .controller import ReceiveRecord
 from .frames import Frame
 from .timebase import TimeBase
 
@@ -53,6 +59,12 @@ class Bus:
         #: one batched event.  Bit-identical to the slow path.
         self.fast_path = fast_path
         self._receivers: Dict[int, Any] = {}
+        #: Receive state written once per slot for the receivers that
+        #: follow it (see :class:`~repro.tt.controller.ReceiveRecord`).
+        self._record = ReceiveRecord(timebase.n_slots)
+        # Receiver-order caches, rebuilt once on first use after an
+        # attach (see :meth:`_refresh`).
+        self._stale = False
         self._node_ids: Tuple[int, ...] = ()
         self._ordered: Tuple[Tuple[int, Any], ...] = ()
         self._all_valid: Dict[int, int] = {}
@@ -75,17 +87,26 @@ class Bus:
                 self._transmit_latched_timed)
 
     def attach(self, node_id: int, controller: Any) -> None:
-        """Register a controller to receive every slot's delivery."""
+        """Register a controller to receive every slot's delivery.
+
+        Attach every controller before the first transmission: the
+        controller follows the bus's shared receive record from here on.
+        """
         self._receivers[node_id] = controller
-        # Receiver-order caches, rebuilt on (rare) attach instead of on
-        # every transmit.
+        self._stale = True
+        controller.follow(self._record)
+
+    def _refresh(self) -> None:
         self._node_ids = tuple(sorted(self._receivers))
         self._ordered = tuple((i, self._receivers[i]) for i in self._node_ids)
         self._all_valid = {i: 1 for i in self._node_ids}
+        self._stale = False
 
     @property
     def node_ids(self) -> Tuple[int, ...]:
-        """Attached node IDs in ascending order (cached at attach time)."""
+        """Attached node IDs in ascending order."""
+        if self._stale:
+            self._refresh()
         return self._node_ids
 
     # ------------------------------------------------------------------
@@ -229,6 +250,8 @@ class Bus:
             self._m_slots_fast.inc()
         trace = self.trace
         if trace.level > 0:
+            if self._stale:
+                self._refresh()
             trace.record(
                 self.engine.now, "tx", node=sender,
                 round_index=round_index, slot=slot,
@@ -243,19 +266,45 @@ class Bus:
 
     def _deliver_batch(self, round_index: int, slot: int, sender: int,
                        payload: Any) -> None:
-        now = self.engine.now
-        for _node_id, controller in self._ordered:
+        # Private deliveries first: they carry over the receiver's
+        # state from before this slot's shared write.
+        for controller in self._record.private[sender]:
             controller.deliver(sender=sender, round_index=round_index,
                                slot=slot, valid=True, payload=payload,
-                               time=now)
+                               time=self.engine.now)
+        self._record.write(sender, round_index, True, payload)
 
     def _deliver(self, round_index: int, slot: int, sender: int,
                  per_receiver: Dict[int, Tuple[bool, Any]]) -> None:
+        shared_valid, shared_payload = _common_outcome(per_receiver)
+        forced = self._record.private[sender]
         for node_id, controller in self._ordered:
             valid, payload = per_receiver[node_id]
-            controller.deliver(
-                sender=sender, round_index=round_index, slot=slot,
-                valid=valid, payload=payload, time=self.engine.now)
+            if (valid != shared_valid or payload is not shared_payload
+                    or controller in forced):
+                controller.deliver(
+                    sender=sender, round_index=round_index, slot=slot,
+                    valid=valid, payload=payload, time=self.engine.now)
+        self._record.write(sender, round_index, shared_valid, shared_payload)
+
+
+def _common_outcome(per_receiver: Dict[int, Tuple[bool, Any]]
+                    ) -> Tuple[bool, Any]:
+    """The ``(valid, payload)`` outcome most receivers share.
+
+    Ties go to the outcome of the lowest node ID.  Payloads compare by
+    identity: receivers sharing an outcome latched the same frame.
+    """
+    counts: Dict[Tuple[bool, int], int] = {}
+    outcomes: Dict[Tuple[bool, int], Tuple[bool, Any]] = {}
+    for outcome in per_receiver.values():
+        key = (bool(outcome[0]), id(outcome[1]))
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            outcomes[key] = outcome
+    return outcomes[max(counts, key=counts.__getitem__)]
 
 
 __all__ = ["Bus"]

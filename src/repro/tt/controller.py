@@ -17,12 +17,22 @@ schedule.  This module implements that abstraction:
   other nodes" — masked senders are treated as permanently invalid.
   A softer ``observe`` mode keeps diagnosing a node without readmitting
   it, used by the reintegration extension (Sec. 9, last paragraph).
+
+A frame is a broadcast: every receiver whose local error detection
+passes latches the same value.  The receive state is therefore split
+in two.  A :class:`ReceiveRecord` owned by the bus holds what the
+receivers following it latched, written once per slot; each
+controller keeps *private entries* only for the deliveries that
+reached it alone (an outcome that differs from the other receivers',
+a sender it ignores, or a controller with delivery listeners).  Reads
+return, per sender, the newer of the two by delivery round.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Optional
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.trace import Trace
 
@@ -31,6 +41,22 @@ from ..sim.trace import Trace
 #: with application data "without interference with other
 #: functionalities" (Sec. 1).
 DIAG_CHANNEL = "diag"
+
+#: Deliveries buffered per sender (receive history and collision
+#: detector results).  Every sender delivers once per round, so at any
+#: point within round ``k`` the buffer covers rounds ``k-4..k-1`` at
+#: least: the diagnostic job reads rounds down to ``k-3`` (``d_round``
+#: and the dynamic variant's tag matching), the Sec. 10 low-latency
+#: service the previous round's collision result.
+RECEIVE_WINDOW = 4
+
+#: One buffered delivery: ``(round, validity_bit, payload, raw)`` —
+#: the payload is ``None`` when invalid; ``raw`` is the validity before
+#: the activity mask, i.e. the collision detector result for an own
+#: frame.
+Delivery = Tuple[int, int, Any, int]
+
+_ROUND = itemgetter(0)
 
 
 class SenderStatus(enum.Enum):
@@ -46,6 +72,103 @@ class SenderStatus(enum.Enum):
     IGNORED = "ignored"
 
 
+def channel_of(payload: Any, channel: str) -> Any:
+    """Extract one channel from a received frame payload.
+
+    Well-formed frames carry a dict of channels; anything else (e.g. a
+    payload forged by a malicious fault) is handed to every channel
+    as-is — the consuming layer's input validation decides what to do
+    with it.
+    """
+    if isinstance(payload, dict):
+        return payload.get(channel)
+    return payload
+
+
+class ReceiveRecord:
+    """Per-sender receive state shared by the receivers that follow it.
+
+    The bus writes one record per slot instead of one delivery per
+    receiver.  Lists are indexed by sender ID (index 0 unused), so a
+    follower's ``read_validity``/``read_interface`` is a list copy.
+
+    Attributes
+    ----------
+    rounds:
+        Round of each sender's last delivery (-1: none yet).
+    validity:
+        Validity bit of that delivery.
+    values:
+        Payload of each sender's last valid delivery (stale values are
+        kept, as on the controllers).
+    value_rounds:
+        Round of that last valid delivery (-1: none yet).
+    history:
+        The last :data:`RECEIVE_WINDOW` deliveries per sender.
+    private:
+        Per sender, the controllers (in node order) that take every
+        delivery of that sender privately: those ignoring it and those
+        with delivery listeners.
+    """
+
+    __slots__ = ("rounds", "validity", "values", "value_rounds", "history",
+                 "_channels", "private")
+
+    def __init__(self, n_senders: int) -> None:
+        size = n_senders + 1
+        self.rounds: List[int] = [-1] * size
+        self.validity: List[int] = [0] * size
+        self.values: List[Any] = [None] * size
+        self.value_rounds: List[int] = [-1] * size
+        self.history: Dict[int, List[Delivery]] = {}
+        #: channel -> ``values`` with that channel extracted, built on
+        #: the first read of the channel and kept in step by
+        #: :meth:`write`, so extraction runs once per slot.
+        self._channels: Dict[str, List[Any]] = {}
+        self.private: List[Tuple["CommunicationController", ...]] = (
+            [()] * size)
+
+    def write(self, sender: int, round_index: int, valid: bool,
+              payload: Any) -> None:
+        """Latch one slot's outcome for every follower at once."""
+        self.rounds[sender] = round_index
+        if valid:
+            self.validity[sender] = 1
+            self.values[sender] = payload
+            self.value_rounds[sender] = round_index
+            for channel, extracted in self._channels.items():
+                extracted[sender] = channel_of(payload, channel)
+            entry = (round_index, 1, payload, 1)
+        else:
+            self.validity[sender] = 0
+            entry = (round_index, 0, None, 0)
+        history = self.history.get(sender)
+        if history is None:
+            self.history[sender] = [entry]
+        else:
+            history.append(entry)
+            if len(history) > RECEIVE_WINDOW:
+                del history[0]
+
+    def channel_values(self, channel: str) -> List[Any]:
+        """``values`` with ``channel`` extracted (do not mutate)."""
+        extracted = self._channels.get(channel)
+        if extracted is None:
+            extracted = self._channels[channel] = [
+                None if v is None else channel_of(v, channel)
+                for v in self.values]
+        return extracted
+
+    def set_private(self, controller: "CommunicationController",
+                    sender: int, private: bool) -> None:
+        """Route ``sender``'s deliveries to ``controller`` privately or not."""
+        members = [c for c in self.private[sender] if c is not controller]
+        if private:
+            members.append(controller)
+            members.sort(key=lambda c: c.node_id)
+        self.private[sender] = tuple(members)
+
+
 class CommunicationController:
     """Per-node controller holding interface variables and validity bits."""
 
@@ -53,17 +176,30 @@ class CommunicationController:
         self.node_id = node_id
         self.n_nodes = n_nodes
         self.trace = trace
-        # 1-based interface state; index 0 unused.
-        self._values: List[Any] = [None] * (n_nodes + 1)
-        self._validity: List[int] = [0] * (n_nodes + 1)
-        self._rounds_sent: List[Optional[int]] = [None] * (n_nodes + 1)
         self._status: List[SenderStatus] = [SenderStatus.ACTIVE] * (n_nodes + 1)
-        self._collision: Dict[int, bool] = {}
-        self._history: Dict[int, List[Any]] = {
-            i: [] for i in range(1, n_nodes + 1)}
+        # The record this controller follows: the bus's once attached,
+        # until then one of its own that nothing writes.
+        self._shared = ReceiveRecord(n_nodes)
+        # Private entries per sender: [round, validity_bit, value], the
+        # value being the last valid payload as of that round.
+        self._private: Dict[int, List[Any]] = {}
+        self._history: Dict[int, List[Delivery]] = {}
         self._out_buffers: Dict[str, Any] = {}
         self.tx_enabled: bool = True
         self._delivery_listeners: List[Any] = []
+
+    def follow(self, record: ReceiveRecord) -> None:
+        """Follow the bus's shared record (called by ``Bus.attach``)."""
+        self._shared = record
+        if (self._delivery_listeners
+                or SenderStatus.IGNORED in self._status):
+            for sender in range(1, self.n_nodes + 1):
+                self._route(sender)
+
+    def _route(self, sender: int) -> None:
+        self._shared.set_private(
+            self, sender, bool(self._delivery_listeners)
+            or self._status[sender] is SenderStatus.IGNORED)
 
     # ------------------------------------------------------------------
     # Sending side
@@ -86,51 +222,54 @@ class CommunicationController:
         """Payload for the transmission now starting (latched at slot start)."""
         return dict(self._out_buffers) if self._out_buffers else None
 
-    @staticmethod
-    def channel_of(payload: Any, channel: str) -> Any:
-        """Extract one channel from a received frame payload.
-
-        Well-formed frames carry a dict of channels; anything else
-        (e.g. a payload forged by a malicious fault) is handed to every
-        channel as-is — the consuming layer's input validation decides
-        what to do with it.
-        """
-        if isinstance(payload, dict):
-            return payload.get(channel)
-        return payload
+    channel_of = staticmethod(channel_of)
 
     # ------------------------------------------------------------------
     # Receiving side
     # ------------------------------------------------------------------
     def deliver(self, sender: int, round_index: int, slot: int,
                 valid: bool, payload: Any, time: float = 0.0) -> None:
-        """Latch one slot's frame (called by the bus at delivery time)."""
-        if sender == self.node_id:
-            # Local collision detection: could our own frame be read
-            # back from the bus?
-            self._collision[round_index] = valid
+        """Latch one slot's frame for this controller alone.
+
+        The bus calls this at delivery time for the outcomes its shared
+        record does not carry for this controller.
+        """
+        # Local collision detection: could our own frame be read back
+        # from the bus?  Recorded before the activity mask.
+        raw = 1 if valid else 0
         if self._status[sender] is SenderStatus.IGNORED:
             valid = False
-        self._validity[sender] = 1 if valid else 0
+        entry = self._private.get(sender)
+        if entry is None:
+            entry = self._private[sender] = [-1, 0, None]
+        shared = self._shared
+        if shared.value_rounds[sender] > entry[0]:
+            # Carry over the stale value this controller last latched
+            # through the shared record.
+            entry[2] = shared.values[sender]
+        entry[0] = round_index
         if valid:
-            self._values[sender] = payload
-            self._rounds_sent[sender] = round_index
-        # Double-buffered receive history (last two rounds per sender).
+            entry[1] = 1
+            entry[2] = payload
+        else:
+            entry[1] = 0
+            payload = None
+        # Receive history (last RECEIVE_WINDOW rounds per sender).
         # Real TT controllers expose equivalent status information (the
         # CNI reports the update instant of each interface variable);
         # the protocol only needs it under *dynamic* node scheduling,
         # where the application-level read-alignment buffer alone
         # cannot always reconstruct the previous round (the job's read
         # point may skip over a delivery when l_i grows between rounds).
-        history = self._history[sender]
-        history.append((round_index, 1 if valid else 0,
-                        payload if valid else None))
-        if len(history) > 4:
-            history.pop(0)
+        history = self._history.get(sender)
+        if history is None:
+            history = self._history[sender] = []
+        history.append((round_index, entry[1], payload, raw))
+        if len(history) > RECEIVE_WINDOW:
+            del history[0]
         for listener in self._delivery_listeners:
             listener(sender=sender, round_index=round_index, slot=slot,
-                     valid=valid, payload=payload if valid else None,
-                     time=time)
+                     valid=valid, payload=payload, time=time)
 
     def add_delivery_listener(self, listener: Any) -> None:
         """Register a callback invoked after every slot delivery.
@@ -138,8 +277,12 @@ class CommunicationController:
         Used by system-level services (the Sec. 10 low-latency variant)
         that react per slot rather than per round.  The callback
         signature is ``(sender, round_index, slot, valid, payload)``.
+        A controller with listeners takes every delivery privately.
         """
         self._delivery_listeners.append(listener)
+        if len(self._delivery_listeners) == 1:
+            for sender in range(1, self.n_nodes + 1):
+                self._route(sender)
 
     # ------------------------------------------------------------------
     # Application-visible reads (the add-on protocol's only inputs)
@@ -150,14 +293,50 @@ class CommunicationController:
         With a ``channel``, each sender's entry is that channel's value
         from the sender's last valid frame.
         """
-        if channel is None:
-            return list(self._values)
-        return [None if v is None else self.channel_of(v, channel)
-                for v in self._values]
+        shared = self._shared
+        out = list(shared.values if channel is None
+                   else shared.channel_values(channel))
+        if self._private:
+            value_rounds = shared.value_rounds
+            for s, (rnd, _valid, value) in self._private.items():
+                if rnd >= value_rounds[s]:
+                    out[s] = (value if channel is None or value is None
+                              else channel_of(value, channel))
+        return out
 
     def read_validity(self) -> List[int]:
         """Snapshot of the validity bits, 1-based (index 0 = 0)."""
-        return list(self._validity)
+        shared = self._shared
+        out = list(shared.validity)
+        if self._private:
+            rounds = shared.rounds
+            for s, (rnd, valid, _value) in self._private.items():
+                if rnd >= rounds[s]:
+                    out[s] = valid
+        return out
+
+    def _buffered(self, sender: int, round_index: int) -> Optional[Delivery]:
+        """This controller's buffered delivery of ``sender`` in a round.
+
+        The buffer is the newest :data:`RECEIVE_WINDOW` of its private
+        deliveries and of the shared ones it did not override (a
+        private delivery replaces the shared one of the same round).
+        """
+        shared = self._shared.history.get(sender)
+        own = self._history.get(sender)
+        if not own:
+            buffered = shared or ()
+        elif not shared:
+            buffered = own
+        else:
+            mine = {entry[0] for entry in own}
+            buffered = sorted(
+                own + [entry for entry in shared if entry[0] not in mine],
+                key=_ROUND)[-RECEIVE_WINDOW:]
+        for entry in buffered:
+            if entry[0] == round_index:
+                return entry
+        return None
 
     def read_delivery(self, sender: int, round_index: int):
         """The buffered delivery of ``sender``'s slot in ``round_index``.
@@ -170,18 +349,18 @@ class CommunicationController:
         property the dynamic-scheduling variant of the protocol relies
         on for its read alignment and tag-matched aggregation.
         """
-        for rec_round, valid, payload in self._history[sender]:
-            if rec_round == round_index:
-                return (valid, payload)
-        return None
+        entry = self._buffered(sender, round_index)
+        return None if entry is None else (entry[1], entry[2])
 
     def collision_ok(self, round_index: int) -> bool:
         """Local collision detector result for the node's slot in a round.
 
         Returns False when the node did not (or could not) put a
-        readable frame on the bus in that round.
+        readable frame on the bus in that round, and for rounds older
+        than the last :data:`RECEIVE_WINDOW` deliveries of its slot.
         """
-        return self._collision.get(round_index, False)
+        entry = self._buffered(self.node_id, round_index)
+        return entry is not None and entry[3] == 1
 
     # ------------------------------------------------------------------
     # Activity management (driven by the diagnostic protocol output)
@@ -191,6 +370,7 @@ class CommunicationController:
         if not 1 <= sender <= self.n_nodes:
             raise ValueError(f"sender must be in 1..{self.n_nodes}, got {sender}")
         self._status[sender] = status
+        self._route(sender)
 
     def sender_status(self, sender: int) -> SenderStatus:
         """Current activity-mask status of one sender."""
@@ -205,4 +385,5 @@ class CommunicationController:
         self.tx_enabled = True
 
 
-__all__ = ["CommunicationController", "SenderStatus"]
+__all__ = ["CommunicationController", "ReceiveRecord", "SenderStatus",
+           "RECEIVE_WINDOW", "channel_of"]

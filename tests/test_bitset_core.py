@@ -13,14 +13,16 @@ import random
 
 import pytest
 
+from repro.core import bitmatrix
 from repro.core.bitmatrix import (
     AnalysisCache,
     BitDiagnosticMatrix,
     pack_syndrome,
     pack_syndrome_cached,
+    packed_if_valid,
     unpack_syndrome,
 )
-from repro.core.syndrome import EPSILON, DiagnosticMatrix
+from repro.core.syndrome import EPSILON, DiagnosticMatrix, is_valid_syndrome
 from repro.core.voting import BOTTOM, h_maj_explain
 from repro.obs import MetricsRegistry
 
@@ -53,6 +55,105 @@ class TestPacking:
         s = (1, 0, 1, 1)
         assert pack_syndrome_cached(s) == pack_syndrome(s)
         assert pack_syndrome_cached(s) == pack_syndrome_cached(tuple(s))
+
+
+class _FalsyOne(int):
+    """Equal (and hash-equal) to 1, yet false: forged junk a value-keyed
+    memo would confuse with a canonical 1."""
+
+    def __bool__(self):
+        return False
+
+
+def validate_then_pack(payload, n):
+    return pack_syndrome(payload) if is_valid_syndrome(payload, n) else None
+
+
+def payload_zoo(rng, n):
+    """Canonical syndromes plus everything aggregation must reject or
+    decode without the memo."""
+    canonical = tuple(rng.randrange(2) for _ in range(n))
+    yield canonical
+    yield tuple(float(v) for v in canonical)
+    yield tuple(bool(v) for v in canonical)
+    yield tuple(_FalsyOne(1) if v else 0 for v in canonical)
+    yield list(canonical)
+    yield tuple(list(canonical))          # equal value, another object
+    yield canonical[:-1]
+    yield canonical + (1,)
+    yield (canonical,) + canonical[1:]    # nested
+    yield tuple(2 if i == 0 else v for i, v in enumerate(canonical))
+    yield (None,) * n
+    yield "1" * n
+    yield {"diag": canonical}
+    yield 42
+    yield None
+
+
+class TestPackedIfValid:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(bitmatrix, "_VALID_PACKED", {})
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_validate_then_pack(self, seed):
+        rng = random.Random(seed)
+        for n in (1, 3, 4, 16):
+            zoo = list(payload_zoo(rng, n))
+            # Twice: the second pass runs against a filled memo.
+            for payload in zoo + zoo:
+                assert (packed_if_valid(payload, n)
+                        == validate_then_pack(payload, n)), payload
+
+    def test_value_equal_payloads_after_a_memoised_canonical_one(self):
+        canonical = (1, 0, 1, 1)
+        assert packed_if_valid(canonical, 4) == 0b1101
+        assert canonical in bitmatrix._VALID_PACKED
+        for payload in ((1.0, 0.0, 1.0, 1.0), (True, False, True, True),
+                        (_FalsyOne(1), 0, 1, 1), tuple([1, 0, 1, 1])):
+            assert payload == canonical
+            assert (packed_if_valid(payload, 4)
+                    == validate_then_pack(payload, 4)), payload
+        assert packed_if_valid((_FalsyOne(1), 0, 1, 1), 4) == 0b1100
+        # Same tuple, another cluster size: not a syndrome.
+        assert packed_if_valid(canonical, 5) is None
+
+    def test_memo_holds_only_exact_int_tuples(self):
+        rng = random.Random(9)
+        for payload in payload_zoo(rng, 4):
+            packed_if_valid(payload, 4)
+            assert bitmatrix._VALID_PACKED
+            for key, (validated, _packed) in bitmatrix._VALID_PACKED.items():
+                assert validated == key
+                for value in (key, validated):
+                    assert all(type(v) is int and v in (0, 1) for v in value)
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(bitmatrix, "_VALID_PACKED_LIMIT", 8)
+        for value in range(64):
+            payload = unpack_syndrome(value, 6)
+            assert packed_if_valid(payload, 6) == value
+            assert len(bitmatrix._VALID_PACKED) <= 8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_from_payloads_matches_row_by_row_aggregation(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice((4, 7, 16))
+        shared = tuple(rng.randrange(2) for _ in range(n))
+        zoo = list(payload_zoo(rng, n))
+        payloads = [shared if rng.random() < 0.5 else rng.choice(zoo)
+                    for _ in range(n)]
+        validity = [rng.randrange(2) for _ in range(n)]
+        active = [int(rng.random() < 0.8) for _ in range(n)]
+        expected = BitDiagnosticMatrix(n)
+        for m in range(1, n + 1):
+            bits = validate_then_pack(payloads[m - 1], n)
+            if validity[m - 1] and active[m - 1] and bits is not None:
+                expected.set_row_bits(m, bits)
+        matrix = BitDiagnosticMatrix.from_payloads(n, payloads, validity,
+                                                   active)
+        assert matrix.key() == expected.key()
+        assert matrix.uniform_row() is None
 
 
 class TestApiParity:
