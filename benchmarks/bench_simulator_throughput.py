@@ -4,8 +4,13 @@ Not a paper artefact — this measures the reproduction substrate itself
 so regressions in the discrete-event engine or the protocol hot path
 are visible: simulated rounds per second for growing cluster sizes,
 with the full diagnostic stack running on every node, plus a
-sustained-fault point comparing the bitset analysis plane against the
-tuple reference plane (same traces, different representation).
+sustained-fault point comparing the packed analysis plane (popcount
+votes memoised cluster-wide) against a bench-local baseline service
+that votes every unpacked column with ``h_maj`` on every node, as the
+list-based analysis did before the packed plane replaced it (same
+traces, different analysis).  The JSON keeps the historic key names:
+``tuple_rounds_per_s`` is that baseline, ``bitset_rounds_per_s`` the
+production plane.
 
 ``REPRO_BENCH_ROUNDS`` scales the per-point round count down for smoke
 runs (CI uses 50; the default 200 is the tracked-artefact setting).
@@ -20,7 +25,9 @@ from conftest import emit, emit_json
 from repro.analysis.reporting import render_table
 from repro.campaign import campaign_tasks, run_campaign, validation_campaign
 from repro.core.config import uniform_config
+from repro.core.diagnostic import DiagnosticService
 from repro.core.service import DiagnosedCluster
+from repro.core.voting import BOTTOM, h_maj
 from repro.faults.scenarios import crash
 from repro.spec import ClusterSpec, ProtocolSpec, RunSpec, ScenarioSpec
 from repro.spec.build import build
@@ -46,11 +53,26 @@ MONTE_CARLO_REPLICATES = 1000
 GILBERT_ELLIOTT_N = 16
 
 
-def run_cluster(n_nodes: int, bitset: bool = True,
+class ListVoteService(DiagnosticService):
+    """Sustained-fault baseline: one ``h_maj`` per unpacked column on
+    every node, bypassing the cluster-wide analysis memo."""
+
+    def _vote(self, controller, matrix, d_round):
+        cons_hv = []
+        for j in range(1, self.config.n_nodes + 1):
+            diag = h_maj(matrix.column(j))
+            if diag is BOTTOM:
+                diag = self._bottom_fallback(controller, j, d_round)
+            cons_hv.append(diag)
+        return cons_hv
+
+
+def run_cluster(n_nodes: int, service_cls=DiagnosticService,
                 sustained_fault: bool = False) -> None:
     config = uniform_config(n_nodes, penalty_threshold=10 ** 6,
                             reward_threshold=10 ** 6)
-    dc = DiagnosedCluster(config, seed=0, trace_level=0, bitset=bitset)
+    dc = DiagnosedCluster(config, seed=0, trace_level=0,
+                          service_cls=service_cls)
     if sustained_fault:
         # A never-isolated crashed sender keeps one ε row in every
         # matrix, defeating the uniform shortcut: every round runs the
@@ -372,9 +394,10 @@ def test_throughput_summary(benchmark):
             "n_nodes": SUSTAINED_N, "rounds": ROUNDS,
             "scenario": "crash(2) never isolated; one ε row per matrix",
             "tuple_rounds_per_s": round(_rounds_per_s(
-                SUSTAINED_N, bitset=False, sustained_fault=True), 1),
+                SUSTAINED_N, service_cls=ListVoteService,
+                sustained_fault=True), 1),
             "bitset_rounds_per_s": round(_rounds_per_s(
-                SUSTAINED_N, bitset=True, sustained_fault=True), 1),
+                SUSTAINED_N, sustained_fault=True), 1),
         }
         sustained["speedup"] = round(
             sustained["bitset_rounds_per_s"]
@@ -390,7 +413,7 @@ def test_throughput_summary(benchmark):
              f"{p['slots_per_s']:,.0f} slots/s") for p in points]
     rows.append((f"{SUSTAINED_N} (faulty)", ROUNDS,
                  f"{sustained['bitset_rounds_per_s']:,.0f} rounds/s",
-                 f"{sustained['speedup']}x vs tuple plane"))
+                 f"{sustained['speedup']}x vs list-vote baseline"))
     rows.append(("campaign (warm)", campaign_cache["tasks"],
                  f"{campaign_cache['warm_tasks_per_s']:,.0f} tasks/s",
                  f"{campaign_cache['speedup']}x vs cold"))

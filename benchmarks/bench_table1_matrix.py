@@ -12,9 +12,10 @@ prints the matrix as in Table 1.
 
 from conftest import emit
 
+from repro.core.bitmatrix import BitDiagnosticMatrix
 from repro.core.config import uniform_config
 from repro.core.service import DiagnosedCluster
-from repro.core.syndrome import EPSILON, DiagnosticMatrix
+from repro.core.syndrome import EPSILON
 from repro.core.voting import h_maj
 from repro.faults.scenarios import SenderFault
 
@@ -34,7 +35,7 @@ def build_and_vote():
     # Reconstruct the matrix node 1 voted on for diagnosed round 6:
     # rows are the syndromes disseminated about round 6 (ε for the
     # faulty senders whose dissemination also failed).
-    matrix = DiagnosticMatrix(4)
+    matrix = BitDiagnosticMatrix(4)
     for sender in range(1, 5):
         if sender in (3, 4):
             matrix.set_row(sender, EPSILON)
@@ -43,6 +44,7 @@ def build_and_vote():
                                       round_index=7)
             matrix.set_row(sender, syndrome.data["syndrome"])
     cons_hv = tuple(h_maj(matrix.column(j)) for j in range(1, 5))
+    assert matrix.analyse()[0] == cons_hv
     observed = dc.health_vectors(1)[6]
     assert observed == cons_hv == (1, 1, 0, 0), (observed, cons_hv)
     return matrix, cons_hv

@@ -556,9 +556,13 @@ def _cmd_results_render(args: argparse.Namespace) -> int:
             finally:
                 store.close()
             text = render_tables(select(tables), fmt)
+        elif args.store:
+            raise ValueError("--store applies to named campaigns only; "
+                             "a document renders from the file alone")
         else:
             doc = source.load_document(args.source)
-            text = _render_document(doc, fmt, select, args.store)
+            text = render_tables(select(source.tables_for_document(doc)),
+                                 fmt)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -569,29 +573,6 @@ def _cmd_results_render(args: argparse.Namespace) -> int:
     else:
         print(text)
     return 0
-
-
-def _render_document(doc, fmt: str, select, store_dir: str) -> str:
-    """Render one document, memoizing in the store when one is given."""
-    from .results import source
-    from .results.render import render_tables
-
-    def compute() -> str:
-        return render_tables(select(source.tables_for_document(doc)), fmt)
-
-    if not store_dir:
-        return compute()
-    from .obs import MetricsRegistry
-    from .results.cache import DerivedCache
-    from .store import ResultStore
-
-    store = ResultStore(store_dir, metrics=MetricsRegistry(enabled=False))
-    try:
-        cache = DerivedCache(store)
-        fingerprint = source.document_fingerprint(doc)
-        return cache.get_or_compute(fingerprint, f"render.{fmt}", compute)
-    finally:
-        store.close()
 
 
 def _cmd_results_diff(args: argparse.Namespace) -> int:
@@ -851,8 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to a file instead of stdout")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="result store directory; required for named "
-                        "campaigns, enables the derived-value cache for "
-                        "documents")
+                        "campaigns and rejected for documents (exit 2)")
     p.add_argument("--reps", type=int, default=5,
                    help="named campaigns: repetitions per class/rate")
     p.add_argument("--nodes", type=int, default=4,

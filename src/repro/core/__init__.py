@@ -56,7 +56,6 @@ from .service import (
 )
 from .syndrome import (
     EPSILON,
-    DiagnosticMatrix,
     clear_intern_cache,
     intern_cache_stats,
     make_syndrome,
@@ -104,7 +103,6 @@ __all__ = [
     "MembershipCluster",
     "attach_reintegration_everywhere",
     "EPSILON",
-    "DiagnosticMatrix",
     "make_syndrome",
     "clear_intern_cache",
     "intern_cache_stats",

@@ -24,19 +24,20 @@ state (collision detector, buffered own syndrome), so cached entries
 record *which* columns were ⊥ and every node applies its own Lemma 3
 fallback.
 
-:class:`BitDiagnosticMatrix` is API-compatible with
-:class:`repro.core.syndrome.DiagnosticMatrix` (``row``/``column``/
-``render``/... return the same tuple-level values), with lossless
-converters in both directions, so traces and the analysis layer are
-unchanged.
+:class:`BitDiagnosticMatrix` is the only matrix representation: its
+tuple-level accessors (``row``/``column``/``render``) serve tests,
+Table 1 renderings and debugging, while the analysis reads the packed
+form.  :func:`repro.core.voting.h_maj` stays as the pure per-column
+reference the property tests compare :meth:`BitDiagnosticMatrix.analyse`
+against.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .syndrome import (EPSILON, DiagnosticMatrix, Opinion, Row, Syndrome,
-                       _Epsilon, is_valid_syndrome, make_syndrome)
+from .syndrome import (EPSILON, Opinion, Row, Syndrome, _Epsilon,
+                       is_valid_syndrome, make_syndrome)
 from .voting import h_maj_counts
 
 #: A memoised analysis result: per-column decisions (``BOTTOM`` for ⊥),
@@ -110,12 +111,13 @@ def packed_if_valid(payload: Any, n_nodes: int) -> Optional[int]:
 
 
 class BitDiagnosticMatrix:
-    """The N×N opinion matrix as one packed int row per sender.
+    """The aggregated N×N opinion matrix of one diagnosed round.
 
-    Drop-in for :class:`~repro.core.syndrome.DiagnosticMatrix`: the
-    tuple-level accessors (``row``, ``column``, ``render``, ...) return
-    exactly what the tuple matrix would, while the analysis path works
-    on the packed representation (:meth:`analyse`, :meth:`key`,
+    Row ``i`` is the syndrome sent by node ``i`` (or ε), stored as one
+    packed int; column ``j`` is the vector of opinions about node
+    ``j``.  The tuple-level accessors (``row``, ``column``,
+    ``render``) unpack on demand; the analysis path works on the
+    packed representation (:meth:`analyse`, :meth:`key`,
     :meth:`disagree_mask`).
     """
 
@@ -175,8 +177,10 @@ class BitDiagnosticMatrix:
     def uniform(cls, n_nodes: int, row: Sequence[int]) -> "BitDiagnosticMatrix":
         """Build a matrix whose every row is the same syndrome.
 
-        Mirrors :meth:`DiagnosticMatrix.uniform`, including the
-        ``uniform_row`` marker the analysis shortcut keys on.
+        Constructor for the common fault-free round: the row is
+        validated and packed once, and :meth:`uniform_row` lets the
+        analysis skip the per-column vote (a uniform matrix trivially
+        yields ``cons_hv == row``).
         """
         row = make_syndrome(row)
         if len(row) != n_nodes:
@@ -189,29 +193,12 @@ class BitDiagnosticMatrix:
         matrix._uniform_row = row
         return matrix
 
-    @classmethod
-    def from_tuple_matrix(cls, matrix: DiagnosticMatrix) -> "BitDiagnosticMatrix":
-        """Lossless conversion from the tuple representation."""
-        out = cls(matrix.n_nodes)
-        for i in range(1, matrix.n_nodes + 1):
-            out.set_row(i, matrix.row(i))
-        out._uniform_row = matrix.uniform_row()
-        return out
-
-    def to_tuple_matrix(self) -> DiagnosticMatrix:
-        """Lossless conversion to the tuple representation."""
-        out = DiagnosticMatrix(self.n_nodes)
-        for i in range(1, self.n_nodes + 1):
-            row = self.row(i)
-            if row is not EPSILON:
-                out.set_row(i, row)
-        if self._uniform_row is not None:
-            out._uniform_row = self._uniform_row
-        return out
-
-    # -- tuple-compatible accessors -------------------------------------
+    # -- tuple-level accessors ------------------------------------------
     def uniform_row(self) -> Optional[Syndrome]:
-        """The shared syndrome if built via :meth:`uniform`, else ``None``."""
+        """The shared syndrome if built via :meth:`uniform`, else ``None``.
+
+        Any subsequent :meth:`set_row` clears the marker.
+        """
         return self._uniform_row
 
     def set_row(self, sender: int, row: Row) -> None:
@@ -250,7 +237,12 @@ class BitDiagnosticMatrix:
         return unpack_syndrome(self._bits[idx], self.n_nodes)
 
     def column(self, accused: int) -> List[Union[Opinion, _Epsilon]]:
-        """All opinions about ``accused``, excluding its self-opinion."""
+        """All opinions about ``accused``, excluding its self-opinion.
+
+        The paper discards the accused node's opinion about itself
+        ("considered unreliable ... to tolerate asymmetric faults"), so
+        the column is an ``(N-1)``-list in sender-ID order.
+        """
         self._check_node(accused)
         shift = accused - 1
         column: List[Union[Opinion, _Epsilon]] = []
@@ -269,7 +261,19 @@ class BitDiagnosticMatrix:
 
     def render(self) -> str:
         """Human-readable rendering in the style of the paper's Table 1."""
-        return self.to_tuple_matrix().render()
+        n = self.n_nodes
+        header = "accuser | " + " ".join(f"{j:>2}" for j in range(1, n + 1))
+        lines = [header, "-" * len(header)]
+        for sender in range(1, n + 1):
+            row = self.row(sender)
+            if row is EPSILON:
+                cells = " ".join(f"{'ε':>2}" for _ in range(n))
+            else:
+                cells = " ".join(
+                    f"{'-':>2}" if j == sender else f"{row[j - 1]:>2}"
+                    for j in range(1, n + 1))
+            lines.append(f"node {sender:>2} | {cells}")
+        return "\n".join(lines)
 
     def _check_node(self, node_id: int) -> None:
         if not 1 <= node_id <= self.n_nodes:
@@ -286,8 +290,12 @@ class BitDiagnosticMatrix:
     def disagree_mask(self, cons_hv: Sequence[int]) -> int:
         """Bitmask of senders whose row disagrees with ``cons_hv``.
 
-        Same predicate as :meth:`DiagnosticMatrix.disagree_mask`, one
-        XOR per present row.
+        Bit ``j-1`` is set iff sender ``j``'s syndrome differs from the
+        consistent health vector in any position other than ``j`` (the
+        self-opinion is unreliable and ignored).  ε rows never disagree
+        — their senders are already being accused by local detection.
+        The membership variant's minority-accusation scan is exactly
+        this predicate, one XOR per present row.
         """
         hv = pack_syndrome(cons_hv)
         full = self._full

@@ -70,8 +70,7 @@ class MembershipService(DiagnosticService):
         accused = []
         # ε rows never enter the mask: those disseminators failed
         # benignly and are already being accused by every node's local
-        # detection mechanisms.  Both matrix representations implement
-        # the same predicate; the bitset one is a single XOR per row.
+        # detection mechanisms.  The predicate is one XOR per row.
         mask = self._last_matrix.disagree_mask(cons_hv)
         while mask:
             low = mask & -mask

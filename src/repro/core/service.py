@@ -59,19 +59,11 @@ class DiagnosedCluster:
         Trace verbosity, forwarded both to the services and to the
         cluster-owned :class:`~repro.sim.trace.Trace` (so level 0 also
         suppresses per-slot bus records).
-    fast_path:
-        Forwarded to :class:`~repro.tt.cluster.Cluster`: batched
-        delivery of injection-quiescent slots (bit-identical results).
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` shared by the whole
         stack (engine, bus, every per-node service); query it via
         :meth:`metrics_snapshot`.  Works at any ``trace_level``,
         including 0.
-    bitset:
-        Run every service's analysis phase on the packed bitmask
-        representation with one :class:`~repro.core.bitmatrix.AnalysisCache`
-        shared cluster-wide (bit-identical results; default on).  Set
-        ``False`` to fall back to the tuple reference path.
     """
 
     def __init__(self, config: ProtocolConfig,
@@ -84,16 +76,13 @@ class DiagnosedCluster:
                  exec_after=None,
                  dynamic_schedules: bool = False,
                  trace_level: int = TRACE_ALL,
-                 fast_path: bool = True,
-                 metrics=None,
-                 bitset: bool = True) -> None:
+                 metrics=None) -> None:
         self.config = config
         self.metrics = metrics
         self.cluster = Cluster(config.n_nodes, round_length=round_length,
                                tx_fraction=tx_fraction, seed=seed,
                                n_channels=n_channels,
-                               trace_level=trace_level, fast_path=fast_path,
-                               metrics=metrics)
+                               trace_level=trace_level, metrics=metrics)
         self.trace = self.cluster.trace
 
         # Schedules first (they fix l_i / send_curr_round_i and hence
@@ -120,14 +109,13 @@ class DiagnosedCluster:
         # One analysis memo for the whole cluster: Sec. 5 consistency
         # means the N per-node analyses of one round mostly see the
         # same matrix, so the first node computes and the rest reuse.
-        analysis_cache = AnalysisCache(metrics) if bitset else None
+        analysis_cache = AnalysisCache(metrics)
         for node_id in range(1, config.n_nodes + 1):
             rng = (self.cluster.streams.stream(f"byzantine-{node_id}")
                    if node_id in byzantine else None)
             service = service_cls(config, self.cluster.node(node_id),
                                   self.trace, byzantine_rng=rng,
                                   trace_level=trace_level, metrics=metrics,
-                                  bitset=bitset,
                                   analysis_cache=analysis_cache)
             self.cluster.install_job(node_id, service)
             self.services[node_id] = service
@@ -246,23 +234,20 @@ class LowLatencyCluster:
                  tx_fraction: float = 0.8, seed: int = 0,
                  n_channels: int = 1, membership: bool = False,
                  trace_level: int = TRACE_ALL,
-                 fast_path: bool = True,
-                 metrics=None,
-                 bitset: bool = True) -> None:
+                 metrics=None) -> None:
         self.config = config
         self.metrics = metrics
         self.cluster = Cluster(config.n_nodes, round_length=round_length,
                                tx_fraction=tx_fraction, seed=seed,
                                n_channels=n_channels,
-                               trace_level=trace_level, fast_path=fast_path,
-                               metrics=metrics)
+                               trace_level=trace_level, metrics=metrics)
         self.trace = self.cluster.trace
         self.services: Dict[int, LowLatencyDiagnosticService] = {}
         for node_id in range(1, config.n_nodes + 1):
             self.services[node_id] = LowLatencyDiagnosticService(
                 config, self.cluster.node(node_id), self.trace,
                 membership=membership, trace_level=trace_level,
-                metrics=metrics, bitset=bitset)
+                metrics=metrics)
 
     def run_rounds(self, n_rounds: int) -> None:
         """Advance the simulation by ``n_rounds`` complete rounds."""

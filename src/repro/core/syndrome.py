@@ -8,7 +8,9 @@ Syndromes are exchanged inside the diagnostic messages ``dm_i``.
 A *diagnostic matrix* collects the aligned local syndromes received for
 one diagnosed round: row ``i`` is the syndrome sent by node ``i`` (or
 the special error value ε when that syndrome itself arrived corrupted),
-column ``j`` is the vector of opinions about node ``j``.
+column ``j`` is the vector of opinions about node ``j``.  The matrix
+itself lives in :mod:`repro.core.bitmatrix` as one packed row per
+sender.
 
 Indexing convention: syndromes are plain tuples of length ``N``; the
 opinion about node ``j`` lives at index ``j - 1``.  Helper accessors
@@ -17,7 +19,7 @@ keep the 1-based paper notation readable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 
 class _Epsilon:
@@ -177,148 +179,6 @@ def parse_tagged_syndrome(payload: Any, n_nodes: int):
     return (about_round, tuple(syndrome))
 
 
-class DiagnosticMatrix:
-    """The aggregated ``N × N`` opinion matrix for one diagnosed round."""
-
-    def __init__(self, n_nodes: int) -> None:
-        self.n_nodes = n_nodes
-        self._rows: Dict[int, Row] = {i: EPSILON for i in range(1, n_nodes + 1)}
-        self._uniform_row: Optional[Syndrome] = None
-        # Columns are pure functions of the rows; cache them so one
-        # analysis (or repeated inspection) stops re-scanning the rows
-        # N times.  Invalidated by set_row.
-        self._columns: Dict[int, List[Union[Opinion, _Epsilon]]] = {}
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row]) -> "DiagnosticMatrix":
-        """Build a matrix from rows ordered by sender ID (1..N)."""
-        matrix = cls(len(rows))
-        for i, row in enumerate(rows, start=1):
-            matrix.set_row(i, row)
-        return matrix
-
-    @classmethod
-    def uniform(cls, n_nodes: int, row: Sequence[int]) -> "DiagnosticMatrix":
-        """Build a matrix whose every row is the same syndrome.
-
-        Fast-path constructor for the common fault-free round: the row
-        is validated once and shared across all senders, and
-        :meth:`uniform_row` lets the analysis skip the per-column vote
-        (a uniform matrix trivially yields ``cons_hv == row``).
-        """
-        row = make_syndrome(row)
-        if len(row) != n_nodes:
-            raise ValueError(
-                f"syndrome length {len(row)} != n_nodes {n_nodes}")
-        matrix = cls(n_nodes)
-        rows = matrix._rows
-        for i in range(1, n_nodes + 1):
-            rows[i] = row
-        matrix._uniform_row = row
-        return matrix
-
-    def uniform_row(self) -> Optional[Syndrome]:
-        """The shared syndrome if built via :meth:`uniform`, else ``None``.
-
-        Any subsequent :meth:`set_row` clears the marker.
-        """
-        return self._uniform_row
-
-    def set_row(self, sender: int, row: Row) -> None:
-        """Install the syndrome sent by ``sender`` (or ε)."""
-        self._check_node(sender)
-        if row is not EPSILON:
-            row = make_syndrome(row)
-            if len(row) != self.n_nodes:
-                raise ValueError(
-                    f"syndrome length {len(row)} != n_nodes {self.n_nodes}")
-        self._rows[sender] = row
-        self._uniform_row = None
-        if self._columns:
-            self._columns.clear()
-
-    def row(self, sender: int) -> Row:
-        """The syndrome sent by ``sender`` (or ε)."""
-        self._check_node(sender)
-        return self._rows[sender]
-
-    def column(self, accused: int) -> List[Union[Opinion, _Epsilon]]:
-        """All opinions about ``accused``, excluding its self-opinion.
-
-        The paper discards the accused node's opinion about itself
-        ("considered unreliable ... to tolerate asymmetric faults"), so
-        the column is an ``(N-1)``-tuple in sender-ID order.
-
-        The returned list is cached on the matrix (and invalidated by
-        :meth:`set_row`); callers must treat it as read-only.
-        """
-        self._check_node(accused)
-        cached = self._columns.get(accused)
-        if cached is not None:
-            return cached
-        column: List[Union[Opinion, _Epsilon]] = []
-        for sender in range(1, self.n_nodes + 1):
-            if sender == accused:
-                continue
-            row = self._rows[sender]
-            if row is EPSILON:
-                column.append(EPSILON)
-            else:
-                column.append(opinion_about(row, accused))
-        self._columns[accused] = column
-        return column
-
-    def disagree_mask(self, cons_hv: Sequence[int]) -> int:
-        """Bitmask of senders whose row disagrees with ``cons_hv``.
-
-        Bit ``j-1`` is set iff sender ``j``'s syndrome differs from the
-        consistent health vector in any position other than ``j`` (the
-        self-opinion is unreliable and ignored).  ε rows never disagree
-        — their senders are already being accused by local detection.
-        The membership variant's minority-accusation scan is exactly
-        this predicate.
-        """
-        n = self.n_nodes
-        mask = 0
-        for j in range(1, n + 1):
-            row = self._rows[j]
-            if row is EPSILON:
-                continue
-            for m in range(1, n + 1):
-                if m != j and row[m - 1] != cons_hv[m - 1]:
-                    mask |= 1 << (j - 1)
-                    break
-        return mask
-
-    def epsilon_rows(self) -> int:
-        """Number of rows that are ε (missing/corrupted syndromes).
-
-        Zero in a fault-free round; the observability layer histograms
-        this per analysis as a cheap proxy for syndrome-channel health.
-        """
-        rows = self._rows
-        return sum(1 for i in rows if rows[i] is EPSILON)
-
-    def render(self) -> str:
-        """Human-readable rendering in the style of the paper's Table 1."""
-        header = "accuser | " + " ".join(f"{j:>2}" for j in range(1, self.n_nodes + 1))
-        lines = [header, "-" * len(header)]
-        for sender in range(1, self.n_nodes + 1):
-            row = self._rows[sender]
-            if row is EPSILON:
-                cells = " ".join(f"{'ε':>2}" for _ in range(self.n_nodes))
-            else:
-                cells = " ".join(
-                    f"{'-':>2}" if j == sender else f"{row[j - 1]:>2}"
-                    for j in range(1, self.n_nodes + 1))
-            lines.append(f"node {sender:>2} | {cells}")
-        return "\n".join(lines)
-
-    def _check_node(self, node_id: int) -> None:
-        if not 1 <= node_id <= self.n_nodes:
-            raise ValueError(f"node must be in 1..{self.n_nodes}, got {node_id}")
-
-
 __all__ = [
     "EPSILON",
     "parse_tagged_syndrome",
@@ -331,5 +191,4 @@ __all__ = [
     "clear_intern_cache",
     "intern_cache_stats",
     "is_valid_syndrome",
-    "DiagnosticMatrix",
 ]

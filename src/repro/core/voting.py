@@ -101,9 +101,9 @@ def h_maj_counts(ones: int, zeros: int):
     ``ones``/``zeros`` are the numbers of surviving (non-ε) 1 and 0
     votes — exactly ``excl(V, ε)`` summarised by two popcounts.  Returns
     the same ``(decision, reason)`` pair as :func:`h_maj_explain`; the
-    bitset diagnostic core (:mod:`repro.core.bitmatrix`) decides every
+    packed diagnostic matrix (:mod:`repro.core.bitmatrix`) decides every
     column from ``int.bit_count()`` tallies through this function, so
-    the two representations cannot drift apart.
+    it cannot drift from the list-based reference.
     """
     if ones < 0 or zeros < 0:
         raise ValueError(f"vote tallies must be >= 0, got {ones}/{zeros}")

@@ -18,9 +18,7 @@ anything.
   the diverging spec parameters, cell-by-cell table comparison, store
   provenance;
 * :mod:`repro.results.plots` — matplotlib emitters behind the same
-  soft-dependency gate :mod:`repro.vec` uses for numpy;
-* :mod:`repro.results.cache` — memoized derived values keyed by
-  document fingerprint, persisted in the result store.
+  soft-dependency gate :mod:`repro.vec` uses for numpy.
 
 The CLI surface is ``repro-diag results render|diff|plot``.
 

@@ -17,8 +17,7 @@ The pipeline consumes two inputs:
 
 :func:`document_fingerprint` hashes the semantic content (campaign,
 params, task payloads — not the schema tag or embedded tables), so a
-``/1`` and ``/2`` document of the same campaign share a fingerprint:
-the key the derived-value cache memoises renders under.
+``/1`` and ``/2`` document of the same campaign share a fingerprint.
 """
 
 from __future__ import annotations
@@ -115,8 +114,7 @@ def document_fingerprint(doc: CampaignDocument) -> str:
     """A stable hash of the document's semantic content.
 
     Embedded tables and the schema tag are excluded: a ``/1`` and a
-    ``/2`` document of the same campaign run fingerprint identically,
-    so cached derived values survive a schema upgrade.
+    ``/2`` document of the same campaign run fingerprint identically.
     """
     canonical = {
         "campaign": doc.campaign,

@@ -49,8 +49,7 @@ def build(spec: RunSpec, metrics: Optional[Any] = None) -> AnyCluster:
     c, s, v = spec.cluster, spec.schedule, spec.variant
     common = dict(round_length=c.round_length, tx_fraction=c.tx_fraction,
                   seed=c.seed, n_channels=c.n_channels,
-                  trace_level=c.trace_level, fast_path=v.fast_path,
-                  metrics=metrics, bitset=v.bitset)
+                  trace_level=c.trace_level, metrics=metrics)
     if v.service == "lowlatency":
         target: AnyCluster = LowLatencyCluster(
             config, membership=v.lowlatency_membership, **common)

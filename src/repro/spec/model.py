@@ -22,7 +22,7 @@ The pieces:
 * :class:`ScheduleSpec` — default / static (``exec_after``) / dynamic
   node schedules;
 * :class:`VariantSpec` — diagnostic / membership / low-latency service,
-  bitset core on/off, bus fast path on/off, byzantine nodes;
+  byzantine nodes;
 * :class:`RunSpec` — the composition, plus the number of rounds to run
   and an optional named reducer (see :mod:`repro.spec.reducers`).
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple, Type, Union
 
 from ..core.config import IsolationMode, ProtocolConfig
@@ -208,20 +208,23 @@ class ScheduleSpec:
 _SERVICES = ("diagnostic", "membership", "lowlatency")
 
 
+#: Execution-strategy switches older specs carry, at the only value the
+#: program still runs.  They stay hashed into :meth:`RunSpec.full_digest`
+#: so digests and store keys written before their removal stay valid.
+REMOVED_VARIANT_FIELDS = {"bitset": True, "fast_path": True}
+
+
 @dataclass(frozen=True)
 class VariantSpec:
-    """Which protocol variant runs, and on which execution paths.
+    """Which protocol variant runs.
 
     ``service`` selects the per-node service class;
-    ``bitset``/``fast_path`` select the (bit-identical) packed analysis
-    core and bus fast path; ``lowlatency_membership`` enables the
-    membership flavour of the Sec. 10 low-latency variant;
-    ``byzantine_nodes`` lists nodes broadcasting random syndromes.
+    ``lowlatency_membership`` enables the membership flavour of the
+    Sec. 10 low-latency variant; ``byzantine_nodes`` lists nodes
+    broadcasting random syndromes.
     """
 
     service: str = "diagnostic"
-    bitset: bool = True
-    fast_path: bool = True
     lowlatency_membership: bool = False
     byzantine_nodes: Tuple[int, ...] = ()
 
@@ -301,21 +304,31 @@ class RunSpec:
                 f"unsupported spec schema {schema!r}: this build reads "
                 f"{RUNSPEC_SCHEMA!r} specs; re-emit the spec with "
                 f"`repro-diag spec` from the matching version")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown RunSpec fields {unknown}")
-        exec_after = data.get("schedule", {}).get("exec_after")
-        if isinstance(exec_after, list):
-            data["schedule"] = dict(data["schedule"],
-                                    exec_after=tuple(exec_after))
+        _check_fields("RunSpec", cls, data)
+        variant = data.get("variant", {})
+        if not isinstance(variant, dict):
+            raise ValueError("RunSpec.variant must be an object")
+        variant = dict(variant)
+        for name, only in REMOVED_VARIANT_FIELDS.items():
+            value = variant.pop(name, only)
+            if value is not only:
+                raise ValueError(
+                    f"RunSpec.variant.{name} must be {json.dumps(only)} "
+                    f"or absent, got {json.dumps(value)}: the execution "
+                    f"path it selected was removed")
+        scenarios = data.get("scenarios", ())
+        if not isinstance(scenarios, (list, tuple)):
+            raise ValueError("RunSpec.scenarios must be a list")
         return cls(
-            protocol=ProtocolSpec(**data["protocol"]),
-            cluster=ClusterSpec(**data.get("cluster", {})),
-            schedule=ScheduleSpec(**data.get("schedule", {})),
-            variant=VariantSpec(**data.get("variant", {})),
-            scenarios=tuple(ScenarioSpec(**s)
-                            for s in data.get("scenarios", ())),
+            protocol=_build(ProtocolSpec, "RunSpec.protocol",
+                            data["protocol"]),
+            cluster=_build(ClusterSpec, "RunSpec.cluster",
+                           data.get("cluster", {})),
+            schedule=_build(ScheduleSpec, "RunSpec.schedule",
+                            data.get("schedule", {})),
+            variant=_build(VariantSpec, "RunSpec.variant", variant),
+            scenarios=tuple(_build(ScenarioSpec, f"RunSpec.scenarios[{i}]", s)
+                            for i, s in enumerate(scenarios)),
             n_rounds=data.get("n_rounds", 0),
             reducer=data.get("reducer"),
             backend=data.get("backend", "event"),
@@ -342,6 +355,7 @@ class RunSpec:
         """
         data = self.to_dict()
         data.pop("backend", None)
+        data["variant"].update(REMOVED_VARIANT_FIELDS)
         canonical = json.dumps(data, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -353,6 +367,27 @@ class RunSpec:
     def with_updates(self, **changes) -> "RunSpec":
         """A copy of the spec with the given fields replaced."""
         return replace(self, **changes)
+
+
+def _check_fields(where: str, cls: type, data: Dict[str, Any]) -> None:
+    """Reject unknown fields and missing required ones of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} fields {unknown}")
+    missing = sorted(f.name for f in fields(cls) if f.name not in data
+                     and f.default is MISSING
+                     and f.default_factory is MISSING)
+    if missing:
+        raise ValueError(f"missing {where} fields {missing}")
+
+
+def _build(cls: type, where: str, data: Any):
+    """Instantiate a nested spec dataclass, naming bad fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object")
+    _check_fields(where, cls, data)
+    return cls(**data)
 
 
 __all__ = [

@@ -45,7 +45,7 @@ class Bus:
 
     def __init__(self, engine: Engine, timebase: TimeBase,
                  injection: InjectionLayer, trace: Trace,
-                 n_channels: int = 1, fast_path: bool = True,
+                 n_channels: int = 1,
                  metrics: Optional[Any] = None) -> None:
         if n_channels < 1:
             raise ValueError(f"n_channels must be >= 1, got {n_channels}")
@@ -54,10 +54,12 @@ class Bus:
         self.injection = injection
         self.trace = trace
         self.n_channels = n_channels
-        #: When true, slots the injection layer declares quiescent skip
-        #: the per-channel/per-receiver outcome machinery and deliver in
-        #: one batched event.  Bit-identical to the slow path.
-        self.fast_path = fast_path
+        #: Slots the injection layer declares quiescent skip the
+        #: per-channel/per-receiver outcome machinery and deliver in one
+        #: batched event, bit-identical to the slow path.  Always on;
+        #: tests clear it on a built bus to force every slot through
+        #: the slow path.
+        self.fast_path = True
         self._receivers: Dict[int, Any] = {}
         #: Receive state written once per slot for the receivers that
         #: follow it (see :class:`~repro.tt.controller.ReceiveRecord`).

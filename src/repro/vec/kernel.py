@@ -28,7 +28,7 @@ independent Monte Carlo replicates with vector arithmetic over
 Bit-identity with the event engine is pinned by the differential fuzz
 (`tests/test_backend_equivalence_fuzz.py`): health vectors, p/r
 counters, isolation times and metrics snapshots must match exactly,
-across fault scenarios × bitset on/off × schedules.
+across fault scenarios × fast/slow bus paths × schedules.
 """
 
 from __future__ import annotations

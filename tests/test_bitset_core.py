@@ -1,12 +1,12 @@
-"""Unit tests for the bitset diagnostic core (repro.core.bitmatrix).
+"""Unit tests for the packed diagnostic matrix (repro.core.bitmatrix).
 
-The contract under test: :class:`BitDiagnosticMatrix` is observably
-indistinguishable from :class:`DiagnosticMatrix` (same accessors, same
-analysis decisions, same renderings), and :class:`AnalysisCache`
-memoises per distinct matrix per diagnosed round without changing a
-single decision.  The cluster-level byte-identity of the two data
-planes is pinned separately by the differential fuzz in
-``test_fastpath_equivalence.py``.
+The contract under test: the tuple-level accessors of
+:class:`BitDiagnosticMatrix` agree with references computed straight
+from the unpacked rows, its packed analysis decides every column like
+the pure ``h_maj`` reference, and :class:`AnalysisCache` memoises per
+distinct matrix per diagnosed round without changing a single
+decision.  Cluster-level agreement with list-based reference services
+is pinned by the differential fuzz in ``test_fastpath_equivalence.py``.
 """
 
 import random
@@ -22,7 +22,7 @@ from repro.core.bitmatrix import (
     packed_if_valid,
     unpack_syndrome,
 )
-from repro.core.syndrome import EPSILON, DiagnosticMatrix, is_valid_syndrome
+from repro.core.syndrome import EPSILON, is_valid_syndrome
 from repro.core.voting import BOTTOM, h_maj_explain
 from repro.obs import MetricsRegistry
 
@@ -156,29 +156,64 @@ class TestPackedIfValid:
         assert matrix.uniform_row() is None
 
 
+def reference_column(rows, accused):
+    """Opinions about ``accused`` in sender order, self-opinion dropped."""
+    return [EPSILON if row is EPSILON else row[accused - 1]
+            for sender, row in enumerate(rows, start=1) if sender != accused]
+
+
+def reference_disagree_mask(rows, cons_hv):
+    """Row-by-row minority predicate: senders whose syndrome differs
+    from ``cons_hv`` anywhere but their own column (ε rows never)."""
+    n = len(rows)
+    mask = 0
+    for j, row in enumerate(rows, start=1):
+        if row is EPSILON:
+            continue
+        for m in range(1, n + 1):
+            if m != j and row[m - 1] != cons_hv[m - 1]:
+                mask |= 1 << (j - 1)
+                break
+    return mask
+
+
+def reference_render_cells(rows, sender):
+    """The Table 1 cells of one accuser line."""
+    row = rows[sender - 1]
+    if row is EPSILON:
+        return ["ε"] * len(rows)
+    return ["-" if j == sender else str(row[j - 1])
+            for j in range(1, len(rows) + 1)]
+
+
 class TestApiParity:
     @pytest.mark.parametrize("seed", range(10))
     def test_accessors_match_tuple_matrix(self, seed):
         rng = random.Random(seed)
         n = rng.choice((3, 4, 8, 16))
         rows = random_rows(rng, n)
-        ref = DiagnosticMatrix.from_rows(rows)
         bit = BitDiagnosticMatrix.from_rows(rows)
-        assert bit.epsilon_rows() == ref.epsilon_rows()
-        assert bit.render() == ref.render()
+        assert bit.epsilon_rows() == sum(1 for r in rows if r is EPSILON)
+        lines = bit.render().splitlines()
+        assert lines[0].split() == ["accuser", "|"] + [
+            str(j) for j in range(1, n + 1)]
+        for sender in range(1, n + 1):
+            assert lines[1 + sender].split("|")[1].split() == \
+                reference_render_cells(rows, sender)
         for j in range(1, n + 1):
-            assert bit.row(j) == ref.row(j)
-            assert bit.column(j) == ref.column(j)
+            assert bit.row(j) == rows[j - 1]
+            assert bit.column(j) == reference_column(rows, j)
         hv = [rng.randrange(2) for _ in range(n)]
-        assert bit.disagree_mask(hv) == ref.disagree_mask(hv)
+        assert bit.disagree_mask(hv) == reference_disagree_mask(rows, hv)
 
     def test_uniform_constructor_parity(self):
         row = (1, 0, 1, 1)
-        ref = DiagnosticMatrix.uniform(4, row)
         bit = BitDiagnosticMatrix.uniform(4, row)
-        assert bit.uniform_row() == ref.uniform_row() == row
-        assert [bit.row(j) for j in range(1, 5)] == \
-               [ref.row(j) for j in range(1, 5)]
+        assert bit.uniform_row() == row
+        assert [bit.row(j) for j in range(1, 5)] == [row] * 4
+        general = BitDiagnosticMatrix.from_rows([row] * 4)
+        assert general.key() == bit.key()
+        assert general.uniform_row() is None
 
     def test_set_row_clears_uniform_marker(self):
         bit = BitDiagnosticMatrix.uniform(4, (1, 1, 1, 1))
@@ -210,20 +245,14 @@ class TestApiParity:
 class TestConverters:
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip_is_lossless(self, seed):
+        """Tuple rows -> packed matrix -> tuple rows loses nothing."""
         rng = random.Random(seed)
         n = rng.choice((4, 8, 16))
-        ref = DiagnosticMatrix.from_rows(random_rows(rng, n))
-        bit = BitDiagnosticMatrix.from_tuple_matrix(ref)
-        back = bit.to_tuple_matrix()
-        for j in range(1, n + 1):
-            assert back.row(j) == ref.row(j)
-        assert BitDiagnosticMatrix.from_tuple_matrix(back).key() == bit.key()
-
-    def test_uniform_marker_survives_conversion(self):
-        ref = DiagnosticMatrix.uniform(4, (1, 1, 0, 1))
-        bit = BitDiagnosticMatrix.from_tuple_matrix(ref)
-        assert bit.uniform_row() == (1, 1, 0, 1)
-        assert bit.to_tuple_matrix().uniform_row() == (1, 1, 0, 1)
+        rows = random_rows(rng, n)
+        bit = BitDiagnosticMatrix.from_rows(rows)
+        back = [bit.row(j) for j in range(1, n + 1)]
+        assert back == rows
+        assert BitDiagnosticMatrix.from_rows(back).key() == bit.key()
 
 
 class TestAnalyse:
@@ -288,17 +317,8 @@ class TestAnalysisCache:
 
 
 class TestEscapeHatch:
-    def test_bitset_false_uses_tuple_matrices(self):
-        from repro import DiagnosedCluster, uniform_config
-
-        dc = DiagnosedCluster(uniform_config(4, penalty_threshold=3,
-                                             reward_threshold=50),
-                              seed=0, bitset=False)
-        dc.run_rounds(8)
-        assert dc.consistent_health_history()
-        service = dc.service(1)
-        assert isinstance(service._last_matrix, DiagnosticMatrix)
-        assert service._analysis_cache is None
+    """The one wiring: every service aggregates packed matrices and all
+    services of a cluster share one analysis cache."""
 
     def test_bitset_default_uses_bit_matrices(self):
         from repro import DiagnosedCluster, uniform_config

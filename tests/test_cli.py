@@ -159,6 +159,33 @@ def test_run_from_stdin_accepts_campaign_array(capsys, monkeypatch):
     assert "run(s)" in out and "0 failed" in out
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("variant", "bitset", False),
+    ("variant", "fast_path", "no"),
+    ("variant", "surprise", 1),
+    ("cluster", "bogus", 1),
+    ("protocol", "n_nodes", None),     # None: delete the required field
+])
+def test_run_rejects_bad_nested_field(capsys, tmp_path, section, field,
+                                      value):
+    import json
+
+    main(["spec", "demo"])
+    spec = json.loads(capsys.readouterr().out)
+    if value is None:
+        del spec[section][field]
+    else:
+        spec[section][field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"RunSpec.{section}" in captured.err
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_run_rejects_mismatched_schema(capsys, monkeypatch):
     import io
     import json

@@ -69,13 +69,14 @@ class TestResultsRenderCli:
                   encoding="utf-8") as fh:
             assert open(out_path, encoding="utf-8").read() == fh.read()
 
-    def test_render_with_store_cache_is_stable(self, capsys, tmp_path):
-        argv = ["results", "render", FIXTURE, "--format", "csv",
-                "--store", str(tmp_path)]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        assert main(argv) == 0          # warm: served from DerivedCache
-        assert capsys.readouterr().out == cold
+    def test_render_document_rejects_store(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        assert main(["results", "render", FIXTURE, "--format", "csv",
+                     "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert "--store applies to named campaigns only" in captured.err
+        assert captured.out == ""
+        assert not store.exists()
 
     def test_render_named_campaign_from_store(self, capsys, tmp_path):
         store = str(tmp_path / "store")

@@ -4,9 +4,9 @@ import copy
 
 import pytest
 
+from repro.core.bitmatrix import BitDiagnosticMatrix
 from repro.core.syndrome import (
     EPSILON,
-    DiagnosticMatrix,
     is_valid_syndrome,
     make_syndrome,
     opinion_about,
@@ -56,21 +56,21 @@ class TestIsValidSyndrome:
 
 class TestDiagnosticMatrix:
     def test_rows_default_to_epsilon(self):
-        m = DiagnosticMatrix(4)
+        m = BitDiagnosticMatrix(4)
         assert m.row(1) is EPSILON
 
     def test_set_and_get_row(self):
-        m = DiagnosticMatrix(4)
+        m = BitDiagnosticMatrix(4)
         m.set_row(2, (1, 1, 0, 1))
         assert m.row(2) == (1, 1, 0, 1)
 
     def test_row_length_checked(self):
-        m = DiagnosticMatrix(4)
+        m = BitDiagnosticMatrix(4)
         with pytest.raises(ValueError):
             m.set_row(1, (1, 0))
 
     def test_column_excludes_self_opinion(self):
-        m = DiagnosticMatrix.from_rows([
+        m = BitDiagnosticMatrix.from_rows([
             (1, 1, 0, 0),
             (1, 0, 0, 0),   # node 2 thinks badly of itself: ignored
             EPSILON,
@@ -80,7 +80,7 @@ class TestDiagnosticMatrix:
         assert m.column(2) == [1, EPSILON, 1]
 
     def test_column_order_is_by_sender(self):
-        m = DiagnosticMatrix.from_rows([
+        m = BitDiagnosticMatrix.from_rows([
             (1, 0, 1, 1),
             (1, 1, 1, 1),
             (0, 1, 1, 1),
@@ -90,25 +90,28 @@ class TestDiagnosticMatrix:
         assert m.column(4) == [1, 1, 1]
 
     def test_node_bounds_checked(self):
-        m = DiagnosticMatrix(4)
+        m = BitDiagnosticMatrix(4)
         with pytest.raises(ValueError):
             m.column(0)
         with pytest.raises(ValueError):
             m.set_row(5, (1, 1, 1, 1))
 
     def test_render_paper_table1(self):
-        m = DiagnosticMatrix.from_rows([
+        m = BitDiagnosticMatrix.from_rows([
             (1, 1, 0, 0),
             (1, 1, 0, 0),
             EPSILON,
             EPSILON,
         ])
-        text = m.render()
-        assert "ε" in text
-        lines = text.splitlines()
-        assert len(lines) == 2 + 4  # header, separator, four rows
-        # The self-opinion is rendered as '-'.
-        assert " -" in lines[2]
+        # Table 1 of the paper: nodes 3 and 4 crashed, so their rows are
+        # ε and nodes 1 and 2 accuse them; self-opinions render as '-'.
+        assert m.render() == (
+            "accuser |  1  2  3  4\n"
+            "---------------------\n"
+            "node  1 |  -  1  0  0\n"
+            "node  2 |  1  -  0  0\n"
+            "node  3 |  ε  ε  ε  ε\n"
+            "node  4 |  ε  ε  ε  ε")
 
 
 class TestMakeSyndromeNormalisation:
@@ -196,17 +199,11 @@ class TestInternCache:
 
 
 class TestColumnCache:
-    def test_column_is_cached(self):
-        m = DiagnosticMatrix.from_rows([
-            (1, 0, 1, 1),
-            (1, 1, 1, 1),
-            (0, 1, 1, 1),
-            (1, 1, 1, 0),
-        ])
-        assert m.column(2) is m.column(2)
+    """Columns are read from the current rows: no column computed
+    before a ``set_row`` survives it."""
 
     def test_set_row_invalidates(self):
-        m = DiagnosticMatrix.from_rows([
+        m = BitDiagnosticMatrix.from_rows([
             (1, 0, 1, 1),
             (1, 1, 1, 1),
             (0, 1, 1, 1),
@@ -219,7 +216,7 @@ class TestColumnCache:
 
 class TestDisagreeMask:
     def test_matches_naive_predicate(self):
-        m = DiagnosticMatrix.from_rows([
+        m = BitDiagnosticMatrix.from_rows([
             (1, 1, 0, 0),
             (1, 1, 0, 0),
             EPSILON,
@@ -229,7 +226,7 @@ class TestDisagreeMask:
         assert m.disagree_mask(cons_hv) == 0b1000
 
     def test_self_opinion_ignored(self):
-        m = DiagnosticMatrix.from_rows([
+        m = BitDiagnosticMatrix.from_rows([
             (0, 1, 1),      # only deviates in its own column
             (1, 1, 1),
             (1, 1, 1),

@@ -23,7 +23,6 @@ from repro.results import (
     render_markdown,
     render_tables,
 )
-from repro.results.cache import DerivedCache
 from repro.results.plots import (
     MATPLOTLIB_AVAILABLE,
     PlotUnavailableError,
@@ -128,46 +127,6 @@ class TestRenderers:
         # "html" used to be the canonical unknown format; it is real now.
         with pytest.raises(ValueError, match="unknown format"):
             render_tables([], "pdf")
-
-
-class TestDerivedCache:
-    def test_memoizes_in_process(self):
-        cache = DerivedCache()
-        calls = []
-        value = cache.get_or_compute("f" * 64, "render.csv",
-                                     lambda: calls.append(1) or "out")
-        again = cache.get_or_compute("f" * 64, "render.csv",
-                                     lambda: calls.append(1) or "out")
-        assert value == again == "out"
-        assert calls == [1]
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_persists_in_store_across_instances(self, tmp_path):
-        from repro.store import ResultStore
-        with ResultStore(str(tmp_path)) as store:
-            first = DerivedCache(store, version="1")
-            assert first.get_or_compute("a" * 64, "render.md",
-                                        lambda: "rendered") == "rendered"
-            warm = DerivedCache(store, version="1")
-            boom = (lambda: (_ for _ in ()).throw(AssertionError("recomputed")))
-            assert warm.get_or_compute("a" * 64, "render.md",
-                                       boom) == "rendered"
-            assert (warm.hits, warm.misses) == (1, 0)
-
-    def test_version_segment_invalidates(self, tmp_path):
-        from repro.store import ResultStore
-        with ResultStore(str(tmp_path)) as store:
-            DerivedCache(store, version="1").get_or_compute(
-                "a" * 64, "render.md", lambda: "old")
-            fresh = DerivedCache(store, version="2").get_or_compute(
-                "a" * 64, "render.md", lambda: "new")
-            assert fresh == "new"
-
-    def test_default_version_is_package_version(self):
-        from repro import __version__
-        cache = DerivedCache()
-        assert cache.key("a" * 64, "render.csv") == (
-            "a" * 64 + f":derived.render.csv:{__version__}")
 
 
 class TestPlotGate:

@@ -311,6 +311,25 @@ class TestErrorsAndIntrospection:
                                       data=b"{}")  # POST to a GET route
             assert status == 405
 
+    def test_bad_nested_spec_field_is_400(self, tmp_path):
+        with _serve(tmp_path) as (url, manager):
+            for section, field, value in (("variant", "bitset", False),
+                                          ("variant", "surprise", 1),
+                                          ("cluster", "bogus", 1)):
+                body = _spec().to_dict()
+                body[section][field] = value
+                status, payload = _post_job(url, body)
+                assert status == 400, payload
+                assert f"RunSpec.{section}" in payload["error"]
+                assert field in payload["error"]
+            body = _spec().to_dict()
+            del body["protocol"]["n_nodes"]
+            status, payload = _post_job(url, body)
+            assert status == 400
+            assert "missing RunSpec.protocol fields ['n_nodes']" in \
+                payload["error"]
+            assert manager.jobs() == []
+
     def test_result_before_completion_is_409(self, tmp_path,
                                              monkeypatch):
         gate = threading.Event()

@@ -121,14 +121,76 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unsupported spec schema"):
             RunSpec.from_dict(data)
 
+    @pytest.mark.parametrize("section, edit, message", [
+        ("variant", lambda d: d.update(surprise=1),
+         r"unknown RunSpec\.variant fields \['surprise'\]"),
+        ("cluster", lambda d: d.update(bogus=1),
+         r"unknown RunSpec\.cluster fields \['bogus'\]"),
+        ("protocol", lambda d: d.pop("n_nodes"),
+         r"missing RunSpec\.protocol fields \['n_nodes'\]"),
+        ("schedule", lambda d: d.update(when=3),
+         r"unknown RunSpec\.schedule fields \['when'\]"),
+    ])
+    def test_bad_nested_field_is_a_named_value_error(self, section, edit,
+                                                     message):
+        data = RunSpec(protocol=_protocol()).to_dict()
+        edit(data[section])
+        with pytest.raises(ValueError, match=message):
+            RunSpec.from_dict(data)
+
+    def test_bad_scenario_and_section_shapes_are_value_errors(self):
+        data = RunSpec(protocol=_protocol()).to_dict()
+        data["scenarios"] = [{"type": "SlotBurst", "prams": {}}]
+        with pytest.raises(ValueError,
+                           match=r"unknown RunSpec\.scenarios\[0\] fields"):
+            RunSpec.from_dict(data)
+        data = RunSpec(protocol=_protocol()).to_dict()
+        del data["protocol"]
+        with pytest.raises(ValueError,
+                           match=r"missing RunSpec fields \['protocol'\]"):
+            RunSpec.from_dict(data)
+        for section in ("cluster", "variant"):
+            data = RunSpec(protocol=_protocol()).to_dict()
+            data[section] = 3
+            with pytest.raises(ValueError, match=f"RunSpec.{section} must"):
+                RunSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["bitset", "fast_path"])
+    @pytest.mark.parametrize("value", [False, "no", 1, None])
+    def test_removed_strategy_field_rejects_other_values(self, field, value):
+        data = RunSpec(protocol=_protocol()).to_dict()
+        data["variant"][field] = value
+        with pytest.raises(ValueError,
+                           match=f"RunSpec.variant.{field} .*was removed"):
+            RunSpec.from_dict(data)
+
+    def test_removed_strategy_fields_accepted_at_their_only_value(self):
+        spec = RunSpec(protocol=_protocol(), n_rounds=4)
+        data = spec.to_dict()
+        assert "bitset" not in data["variant"]
+        assert "fast_path" not in data["variant"]
+        data["variant"].update(bitset=True, fast_path=True)
+        assert RunSpec.from_dict(data) == spec
+
+    def test_digest_still_hashes_the_removed_fields(self):
+        """Digests predating the removal stay valid: the two fields are
+        hashed at their only value."""
+        import hashlib
+
+        spec = RunSpec(protocol=_protocol(), n_rounds=4)
+        data = spec.to_dict()
+        data["variant"].update(bitset=True, fast_path=True)
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert spec.full_digest() == hashlib.sha256(
+            canonical.encode("utf-8")).hexdigest()
+
 
 def _variant_matrix():
     variants = []
     for service in ("diagnostic", "membership"):
-        for bitset in (True, False):
-            for fast_path in (True, False):
-                variants.append(VariantSpec(service=service, bitset=bitset,
-                                            fast_path=fast_path))
+        for byzantine in ((), (1,), (3,), (1, 2, 3)):
+            variants.append(VariantSpec(service=service,
+                                        byzantine_nodes=byzantine))
     variants.append(VariantSpec(service="lowlatency"))
     variants.append(VariantSpec(service="lowlatency",
                                 lowlatency_membership=True))

@@ -97,7 +97,8 @@ class Harness:
         self.timebase = TimeBase(n_nodes, 2.5e-3)
         self.injection = InjectionLayer()
         self.bus = Bus(self.engine, self.timebase, self.injection, Trace(),
-                       n_channels=n_channels, fast_path=fast_path)
+                       n_channels=n_channels)
+        self.bus.fast_path = fast_path
         self.ctrls = {}
         for i in range(1, n_nodes + 1):
             self.ctrls[i] = CommunicationController(i, n_nodes, Trace())

@@ -11,7 +11,8 @@ with the general per-column vote on arbitrary uniform matrices.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.syndrome import EPSILON, DiagnosticMatrix, make_syndrome
+from repro.core.bitmatrix import BitDiagnosticMatrix
+from repro.core.syndrome import EPSILON, make_syndrome
 from repro.core.voting import BOTTOM, h_maj, h_maj_explain
 
 votes_strategy = st.lists(st.sampled_from([0, 1, EPSILON]),
@@ -73,7 +74,7 @@ def uniform_matrices(draw):
     n = draw(st.integers(min_value=2, max_value=10))
     row = draw(st.lists(st.integers(min_value=0, max_value=1),
                         min_size=n, max_size=n))
-    return DiagnosticMatrix.uniform(n, row), row
+    return BitDiagnosticMatrix.uniform(n, row), row
 
 
 @given(uniform_matrices())
@@ -87,11 +88,12 @@ def test_uniform_shortcut_agrees_with_general_vote(pair):
     general = [h_maj(matrix.column(j))
                for j in range(1, matrix.n_nodes + 1)]
     assert general == list(row)
+    assert list(matrix.analyse()[0]) == list(row)
 
 
 @given(st.integers(min_value=2, max_value=10))
 def test_all_healthy_uniform_matrix_has_no_epsilon_rows(n):
-    matrix = DiagnosticMatrix.uniform(n, [1] * n)
+    matrix = BitDiagnosticMatrix.uniform(n, [1] * n)
     assert matrix.epsilon_rows() == 0
     assert matrix.uniform_row() == (1,) * n
 
@@ -111,7 +113,7 @@ def test_set_row_clears_uniform_marker(pair, data):
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_epsilon_rows_counts_exactly_the_missing_rows(n, data):
     missing = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
-    matrix = DiagnosticMatrix(n)
+    matrix = BitDiagnosticMatrix(n)
     for sender in range(1, n + 1):
         if sender not in missing:
             matrix.set_row(sender, [1] * n)
